@@ -62,8 +62,6 @@ func main() {
 	shards := flag.Int("shards", 0,
 		"worker shards, each with a private codec pinned to a connection set;"+
 			" 0 = one per core (GOMAXPROCS)")
-	maxConcurrent := flag.Int("max-concurrent", 0,
-		"deprecated alias for -shards; 0 defers to -shards")
 	requestTimeout := flag.Duration("request-timeout", 0,
 		"per-request deadline; conversions running longer are cancelled (0 = none)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second,
@@ -96,7 +94,6 @@ func main() {
 	b := &server.Blockserver{
 		OutsourceThreshold: *threshold,
 		Shards:             *shards,
-		MaxConcurrent:      *maxConcurrent,
 		RequestTimeout:     *requestTimeout,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "blockserverd: "+format+"\n", args...)

@@ -31,7 +31,6 @@ import (
 	"strconv"
 
 	"lepton/internal/backfill"
-	"lepton/internal/cluster"
 	"lepton/internal/core"
 	"lepton/internal/diskstore"
 	"lepton/internal/imagegen"
@@ -69,7 +68,7 @@ func main() {
 		fatal(err)
 	}
 	if *withErrors {
-		files := cluster.BuildErrorCorpus(*seed, *n)
+		files := imagegen.ErrorCorpus(*seed, *n)
 		for i, data := range files {
 			write(*out, i, data)
 		}

@@ -6,11 +6,11 @@ import (
 	"time"
 
 	"lepton/internal/baseline"
-	"lepton/internal/cluster"
 	"lepton/internal/core"
 	"lepton/internal/imagegen"
 	"lepton/internal/model"
 	"lepton/internal/stats"
+	"lepton/internal/store"
 )
 
 // measure runs a codec over the corpus and reports savings and speed.
@@ -106,7 +106,7 @@ func figure1(opt options) {
 func figure2(opt options) {
 	header("Figure 2: savings and speed, all codecs (incl. rejected chunks)")
 	files := corpus(opt.seed, opt.n)
-	files = append(files, cluster.BuildErrorCorpus(opt.seed+1, opt.n/4)...)
+	files = append(files, imagegen.ErrorCorpus(opt.seed+1, opt.n/4)...)
 	t := &stats.Table{Header: []string{"codec", "savings%", "enc Mbps", "dec Mbps",
 		"enc p50 ms", "enc p99 ms", "dec p50 ms", "dec p99 ms", "rejected"}}
 	for _, c := range allCodecs() {
@@ -360,49 +360,10 @@ func errorTable(opt options) {
 	if opt.quick {
 		n = 120
 	}
-	q := cluster.ErrorCodeTable(opt.seed, n)
+	q := store.Qualify(imagegen.ErrorCorpus(opt.seed, n))
 	fmt.Print(q.String())
 	fmt.Println("paper: Success 94.069%, Progressive 3.043%, Unsupported 1.535%, Not an image 0.801%,")
 	fmt.Println("       CMYK 0.478%, >24MiB decode 0.024%, roundtrip/chroma/AC-range trace amounts.")
-}
-
-// costTable: §5.6.1 — paper constants plus a calibrated run using this
-// machine's measured encode throughput.
-func costTable(opt options) {
-	header("§5.6.1 cost effectiveness")
-	paper := cluster.Cost(cluster.DefaultBackfillConfig())
-	fmt.Printf("paper constants:   %.0f conversions/kWh, %.1f GiB saved/kWh, breakeven $%.2f/kWh\n",
-		paper.ConversionsPerKWh, paper.GiBSavedPerKWh, paper.BreakevenUSDPerKWh)
-	fmt.Printf("                   %.3g images/yr/machine, %.1f TiB saved/yr, $%.0f/yr at S3 IA\n",
-		paper.ImagesPerYearPerMachine, paper.TiBSavedPerYearPerMachine, paper.S3AnnualUSDPerMachine)
-
-	n := opt.n / 3
-	if n < 4 {
-		n = 4
-	}
-	files := corpusLarge(opt.seed, n) // paper's 1.5 MB average chunk
-	var bytesIn, bytesOut int64
-	t0 := time.Now()
-	count := 0
-	for _, data := range files {
-		res, err := core.Encode(data, core.EncodeOptions{VerifyRoundtrip: true})
-		if err != nil {
-			continue
-		}
-		bytesIn += int64(len(data))
-		bytesOut += int64(len(res.Compressed))
-		count++
-	}
-	secs := time.Since(t0).Seconds()
-	cfg := cluster.DefaultBackfillConfig()
-	cfg.ImagesPerSecPerMachine = float64(count) / secs
-	cfg.AvgImageMB = float64(bytesIn) / float64(count) / 1e6
-	cfg.SavingsRatio = 1 - float64(bytesOut)/float64(bytesIn)
-	c := cluster.Cost(cfg)
-	fmt.Printf("this machine:      %.1f images/s (avg %.2f MB, %.1f%% savings, verify on)\n",
-		cfg.ImagesPerSecPerMachine, cfg.AvgImageMB, 100*cfg.SavingsRatio)
-	fmt.Printf("                   %.0f conversions/kWh, %.1f GiB saved/kWh, breakeven $%.2f/kWh\n",
-		c.ConversionsPerKWh, c.GiBSavedPerKWh, c.BreakevenUSDPerKWh)
 }
 
 // extensionsTable measures the optional capabilities production disabled:

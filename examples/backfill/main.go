@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"lepton/internal/backfill"
-	"lepton/internal/cluster"
 	"lepton/internal/diskstore"
 	"lepton/internal/server"
 	"lepton/internal/store"
@@ -27,7 +26,7 @@ func main() {
 	// A live fleet: three blockservers on loopback, one router over them.
 	var addrs []string
 	for i := 0; i < 3; i++ {
-		b := &server.Blockserver{Store: store.New(), MaxConcurrent: 4}
+		b := &server.Blockserver{Store: store.New(), Shards: 4}
 		bound, err := server.ListenAndServe("tcp:127.0.0.1:0", b)
 		if err != nil {
 			log.Fatal(err)
@@ -83,11 +82,11 @@ func main() {
 		res.TotalFiles, elapsed.Round(time.Millisecond), imagesPerSec, 100*savings, res.Checkpoints)
 
 	// §5.6.1 cost model, calibrated with this machine's measured rate.
-	cfg := cluster.DefaultBackfillConfig()
+	cfg := backfill.DefaultCostConfig()
 	cfg.ImagesPerSecPerMachine = imagesPerSec
 	cfg.SavingsRatio = savings
 	cfg.AvgImageMB = float64(res.TotalIn) / float64(res.TotalFiles) / 1e6
-	c := cluster.Cost(cfg)
+	c := backfill.Cost(cfg)
 	fmt.Printf("cost model (this machine as the backfill node):\n")
 	fmt.Printf("  conversions per kWh:    %.0f\n", c.ConversionsPerKWh)
 	fmt.Printf("  GiB saved per kWh:      %.1f\n", c.GiBSavedPerKWh)

@@ -174,7 +174,7 @@ func startFleet(n int) (*lepton.Fleet, func(), error) {
 	var addrs []string
 	var closers []func()
 	for i := 0; i < n; i++ {
-		b := &server.Blockserver{Store: store.New(), MaxConcurrent: 4}
+		b := &server.Blockserver{Store: store.New(), Shards: 4}
 		bound, err := server.ListenAndServe("tcp:127.0.0.1:0", b)
 		if err != nil {
 			return nil, nil, err

@@ -3,8 +3,7 @@
 // several levels, an order-1 adaptive range coder standing in for the
 // LZMA/Brotli/Zstandard class), format-aware pixel-exact tools (a
 // JPEGrescan-style Huffman optimizer, a JPEG-spec-style arithmetic coder),
-// and the PackJPG-style configuration of the Lepton engine itself. See
-// DESIGN.md for the substitution notes.
+// and the PackJPG-style configuration of the Lepton engine itself.
 package baseline
 
 import (

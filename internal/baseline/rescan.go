@@ -38,8 +38,7 @@ func guardPlanes(f *jpeg.File) error {
 // original entropy coding cannot be recovered, so Decompress re-decodes the
 // optimized file to prove it is a valid JPEG of the same coefficients.
 //
-// The progressive-reordering half of JPEGrescan is out of scope; see
-// DESIGN.md substitutions.
+// The progressive-reordering half of JPEGrescan is out of scope.
 type Rescan struct{}
 
 func (Rescan) Name() string         { return "jpegrescan-style" }

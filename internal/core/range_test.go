@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -280,5 +281,56 @@ func TestDecodeRangeInvalidArgs(t *testing.T) {
 	}
 	if _, err := core.DecodeRange([]byte("not a container"), 0, 10, 0); err == nil {
 		t.Fatal("garbage container: expected error")
+	}
+}
+
+// BenchmarkRangeTTFB measures range-serving time to first byte against the
+// cost it avoids: a 1 KiB (and 64 KiB) ranged read of a ~20 MB
+// seek-indexed container versus decompressing the whole file. A small read
+// costs one or two thread segments, not the file.
+func BenchmarkRangeTTFB(b *testing.B) {
+	// ~20 MB baseline JPEG: a high-quality, non-subsampled synthetic photo,
+	// encoded at ForceSegments 32 so the seek index has real granularity.
+	jpg, err := imagegen.EncodeJPEG(imagegen.Synthesize(9, 10200, 7650),
+		imagegen.Options{Quality: 95, PadBit: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	// A 78-MP image's row windows exceed the default 24-MiB decode budget;
+	// raise it here (the production ceiling is per-file size policy, not a
+	// correctness bound).
+	const memBudget = 96 << 20
+	res, err := core.Encode(jpg, core.EncodeOptions{
+		ForceSegments: 32, MemDecodeBudget: memBudget, MemEncodeBudget: 512 << 20,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	comp := res.Compressed
+	size := int64(len(jpg))
+
+	b.Run(fmt.Sprintf("full-decode@%dMB", size>>20), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.Decode(comp, memBudget); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	for _, rd := range []struct {
+		name string
+		n    int64
+	}{{"1KiB", 1 << 10}, {"64KiB", 64 << 10}} {
+		b.Run(fmt.Sprintf("%s@%dMB", rd.name, size>>20), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(7))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				off := rng.Int63n(size - rd.n)
+				got, err := core.DecodeRange(comp, off, rd.n, memBudget)
+				if err != nil || int64(len(got)) != rd.n {
+					b.Fatalf("range read: %d bytes, %v", len(got), err)
+				}
+			}
+		})
 	}
 }

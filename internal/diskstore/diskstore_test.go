@@ -26,7 +26,7 @@ func chunk(seed, n int) (Hash, []byte) {
 	return sha256.Sum256(data), data
 }
 
-func mustOpen(t *testing.T, dir string, opts Options) *Store {
+func mustOpen(t testing.TB, dir string, opts Options) *Store {
 	t.Helper()
 	s, err := Open(dir, opts)
 	if err != nil {
@@ -35,7 +35,7 @@ func mustOpen(t *testing.T, dir string, opts Options) *Store {
 	return s
 }
 
-func mustPut(t *testing.T, s *Store, h Hash, data []byte) {
+func mustPut(t testing.TB, s *Store, h Hash, data []byte) {
 	t.Helper()
 	if err := s.Put(h, data); err != nil {
 		t.Fatalf("Put: %v", err)

@@ -4,11 +4,10 @@
 // error-code table is built from.
 //
 // The paper evaluated on 233,376 randomly sampled Dropbox chunks; that data
-// is unavailable, so this generator is the documented substitution
-// (DESIGN.md). Multi-octave value noise plus gradients and hard-edged shapes
-// produce DCT statistics with the properties Lepton's model exploits:
-// spatial correlation between neighboring blocks, smooth DC gradients, and
-// edge-aligned 7x1/1x7 energy.
+// is unavailable, so this generator stands in for it. Multi-octave value
+// noise plus gradients and hard-edged shapes produce DCT statistics with
+// the properties Lepton's model exploits: spatial correlation between
+// neighboring blocks, smooth DC gradients, and edge-aligned 7x1/1x7 energy.
 package imagegen
 
 import (

@@ -2,6 +2,9 @@ package imagegen_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"testing"
 
 	"lepton/internal/imagegen"
@@ -155,5 +158,26 @@ func TestAppendSecondImageKeepsFirstIntact(t *testing.T) {
 	combo := imagegen.AppendSecondImage(a, b)
 	if !bytes.HasPrefix(combo, a) || len(combo) != len(a)+len(b) {
 		t.Fatal("concatenation broken")
+	}
+}
+
+// TestErrorCorpusPinned pins the §6.2 anomaly-mix corpus byte for byte:
+// corpusgen -errors output and the error-code table depend on it staying
+// stable. The digest covers each file's length and bytes in order.
+func TestErrorCorpusPinned(t *testing.T) {
+	files := imagegen.ErrorCorpus(1, 200)
+	if len(files) != 200 {
+		t.Fatalf("got %d files, want 200", len(files))
+	}
+	h := sha256.New()
+	for _, f := range files {
+		var n [8]byte
+		binary.LittleEndian.PutUint64(n[:], uint64(len(f)))
+		h.Write(n[:])
+		h.Write(f)
+	}
+	const want = "c53132f8a07c4e334af2f257b39f706aa269eb870939b90880eb33e651059c08"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("ErrorCorpus(1, 200) digest = %s, want %s", got, want)
 	}
 }

@@ -284,8 +284,8 @@ func (b *Blockserver) StatsSnapshot() map[string]int64 {
 		for i := range p.shards {
 			s := &p.shards[i]
 			snap[fmt.Sprintf("shard%d_depth", i)] = int64(s.depth())
-			snap[fmt.Sprintf("shard%d_done", i)] = s.jobs
-			snap[fmt.Sprintf("shard%d_steals", i)] = s.steals
+			snap[fmt.Sprintf("shard%d_done", i)] = s.jobs.Load()
+			snap[fmt.Sprintf("shard%d_steals", i)] = s.steals.Load()
 		}
 		p.mu.Unlock()
 	}
@@ -320,15 +320,11 @@ type Blockserver struct {
 	// "more than three conversions at a time".
 	OutsourceThreshold int
 	// Shards is the number of worker shards — the bound on conversions
-	// running at once. 0 defers to MaxConcurrent, then to GOMAXPROCS.
+	// running at once. 0 means one shard per core (GOMAXPROCS).
 	// Requests beyond the bound queue on their connection's shard; InFlight
 	// counts queued and running conversions alike so load probes and the
 	// outsourcing trigger see the backlog.
 	Shards int
-	// MaxConcurrent is the pre-sharding name for the same bound, kept so
-	// existing configurations keep their worker count; Shards wins when
-	// both are set. 0 (with Shards 0) means one shard per core.
-	MaxConcurrent int
 	// WriteTimeout bounds how long one response may take to reach the
 	// client; 0 means DefaultWriteTimeout. Because conversions hold a
 	// worker-pool slot through their response write, a client that stops
@@ -367,14 +363,6 @@ type Blockserver struct {
 	ln     net.Listener
 	conns  map[*srvConn]struct{}
 }
-
-// DefaultMaxConcurrent matches the paper's observation that a handful of
-// conversions saturate a blockserver; beyond this they queue (or are
-// outsourced when a pool is configured). Since the worker-pool sharding it
-// is only a conventional value for explicit configuration (blockserverd's
-// -max-concurrent flag default); an unconfigured Blockserver runs one
-// shard per core.
-const DefaultMaxConcurrent = 4
 
 // DefaultWriteTimeout is generous against slow networks while still
 // bounding how long a stalled client can hold a worker-pool slot.
@@ -460,9 +448,6 @@ func (b *Blockserver) init() {
 			b.Store.Codec = b.Codec
 		}
 		n := b.Shards
-		if n <= 0 {
-			n = b.MaxConcurrent
-		}
 		if n <= 0 {
 			n = runtime.GOMAXPROCS(0)
 		}
@@ -796,24 +781,24 @@ func (b *Blockserver) serveCompress(ctx context.Context, sc *srvConn, payload []
 }
 
 // compressLocal runs on a shard worker with the shard's private codec.
-func (b *Blockserver) compressLocal(ctx context.Context, cd *core.Codec, conn net.Conn, payload []byte) bool {
+func (b *Blockserver) compressLocal(ctx context.Context, cd *core.Codec, j *shardJob, payload []byte) bool {
 	b.Stats.Compresses.Add(1)
 	res, err := cd.EncodeCtx(ctx, payload, withVerify(b.EncodeOptions))
 	if err != nil {
 		if ctx.Err() != nil {
-			return b.respondErr(conn, ctx.Err())
+			return j.fail(ctx.Err())
 		}
 		// Unsupported inputs are service-level successes with a
 		// fallback marker: production stored them with Deflate.
 		if jpeg.ReasonOf(err) != jpeg.ReasonNone {
 			raw, merr := rawContainer(payload)
 			if merr == nil {
-				return WriteResponse(conn, StatusOK, raw) == nil
+				return j.reply(StatusOK, raw)
 			}
 		}
-		return b.respondErr(conn, err)
+		return j.fail(err)
 	}
-	return WriteResponse(conn, StatusOK, res.Compressed) == nil
+	return j.reply(StatusOK, res.Compressed)
 }
 
 func (b *Blockserver) serveDecompress(ctx context.Context, sc *srvConn, payload []byte) bool {
@@ -839,20 +824,20 @@ func (b *Blockserver) serveDecompress(ctx context.Context, sc *srvConn, payload 
 // queued — can still be answered in-band on an intact connection; after
 // the first flush, the header has promised size bytes and a shortfall can
 // only be signaled by tearing the connection down.
-func (b *Blockserver) decompressLocal(ctx context.Context, cd *core.Codec, sc *srvConn, payload []byte) bool {
-	conn := sc.conn
+func (b *Blockserver) decompressLocal(ctx context.Context, cd *core.Codec, j *shardJob, payload []byte) bool {
+	conn := j.sc.conn
 	b.Stats.Decompresses.Add(1)
 	size, err := core.ContainerOutputSize(payload)
 	if err != nil {
 		b.Stats.Errors.Add(1)
-		return WriteResponse(conn, StatusError, []byte(err.Error())) == nil
+		return j.reply(StatusError, []byte(err.Error()))
 	}
-	w := &sc.fw
+	w := &j.sc.fw
 	w.reset(conn, size, &b.Stats.Writevs)
 	if err := cd.DecodeToCtx(ctx, w, payload, 0); err != nil {
 		if !w.wrote {
 			w.discard()
-			return b.respondErr(conn, err)
+			return j.fail(err)
 		}
 		if ctx.Err() != nil {
 			b.Stats.Cancelled.Add(1)
@@ -865,8 +850,10 @@ func (b *Blockserver) decompressLocal(ctx context.Context, cd *core.Codec, sc *s
 	}
 	if !w.wrote && w.pending == 0 {
 		// Zero-length output (empty raw chunk): frame it now.
+		j.settle()
 		return WriteResponseHeader(conn, StatusOK, size) == nil
 	}
+	j.settle()
 	if err := w.Flush(); err != nil {
 		// A response write failure: the connection is done either way.
 		b.Stats.Errors.Add(1)
@@ -975,36 +962,36 @@ func (b *Blockserver) handleStoreOp(ctx context.Context, sc *srvConn, op byte, p
 // putRawLocal runs OpPutChunkRaw on a shard worker. The store paths go
 // through the Store's own codec (its budgets and shutoff switch are store
 // configuration); the shard still bounds their concurrency.
-func (b *Blockserver) putRawLocal(ctx context.Context, conn net.Conn, payload []byte) bool {
+func (b *Blockserver) putRawLocal(ctx context.Context, j *shardJob, payload []byte) bool {
 	b.Stats.Compresses.Add(1)
 	ref, err := b.Store.PutFileCtx(ctx, payload)
 	if err != nil {
-		return b.respondErr(conn, err)
+		return j.fail(err)
 	}
 	if len(ref.Chunks) != 1 {
-		return b.respondErr(conn, fmt.Errorf("chunk payload produced %d chunks", len(ref.Chunks)))
+		return j.fail(fmt.Errorf("chunk payload produced %d chunks", len(ref.Chunks)))
 	}
 	h := ref.Chunks[0]
-	return WriteResponse(conn, StatusOK, h[:]) == nil
+	return j.reply(StatusOK, h[:])
 }
 
 // putCompressedLocal runs OpPutChunkCompressed on a shard worker.
-func (b *Blockserver) putCompressedLocal(ctx context.Context, conn net.Conn, payload []byte) bool {
+func (b *Blockserver) putCompressedLocal(ctx context.Context, j *shardJob, payload []byte) bool {
 	h, err := b.Store.PutCompressedChunkCtx(ctx, payload)
 	if err != nil {
-		return b.respondErr(conn, err)
+		return j.fail(err)
 	}
-	return WriteResponse(conn, StatusOK, h[:]) == nil
+	return j.reply(StatusOK, h[:])
 }
 
 // getRawLocal runs OpGetChunkRaw on a shard worker.
-func (b *Blockserver) getRawLocal(ctx context.Context, conn net.Conn, h store.Hash) bool {
+func (b *Blockserver) getRawLocal(ctx context.Context, j *shardJob, h store.Hash) bool {
 	b.Stats.Decompresses.Add(1)
 	out, err := b.Store.GetChunkCtx(ctx, h)
 	if err != nil {
-		return b.respondErr(conn, err)
+		return j.fail(err)
 	}
-	return WriteResponse(conn, StatusOK, out) == nil
+	return j.reply(StatusOK, out)
 }
 
 // getRangeLocal runs OpGetRange on a shard worker: decode only the chunk
@@ -1014,32 +1001,32 @@ func (b *Blockserver) getRawLocal(ctx context.Context, conn net.Conn, h store.Ha
 // vectored frame writer as a full decompress — header framed lazily,
 // failures before the first flush still answered in-band, a shortfall after
 // it signaled by connection teardown.
-func (b *Blockserver) getRangeLocal(ctx context.Context, cd *core.Codec, sc *srvConn, h store.Hash, off, n int64) bool {
-	conn := sc.conn
+func (b *Blockserver) getRangeLocal(ctx context.Context, cd *core.Codec, j *shardJob, h store.Hash, off, n int64) bool {
+	conn := j.sc.conn
 	b.Stats.GetRanges.Add(1)
 	cb, ok := b.Store.GetCompressedChunk(h)
 	if !ok {
 		b.Stats.Errors.Add(1)
-		return WriteResponse(conn, StatusNotFound, []byte("unknown chunk")) == nil
+		return j.reply(StatusNotFound, []byte("unknown chunk"))
 	}
 	rlen, err := core.RangeLength(cb, off, n)
 	if err != nil {
 		b.Stats.Errors.Add(1)
-		return WriteResponse(conn, StatusError, []byte(err.Error())) == nil
+		return j.reply(StatusError, []byte(err.Error()))
 	}
 	if rlen > maxPayload {
 		// The client's ReadResponse caps a frame at maxPayload; a range this
 		// large should be fetched as the whole chunk instead.
 		b.Stats.Errors.Add(1)
-		return WriteResponse(conn, StatusError,
-			[]byte(fmt.Sprintf("range of %d bytes exceeds the %d-byte response limit", rlen, maxPayload))) == nil
+		return j.reply(StatusError,
+			[]byte(fmt.Sprintf("range of %d bytes exceeds the %d-byte response limit", rlen, maxPayload)))
 	}
-	w := &sc.fw
+	w := &j.sc.fw
 	w.reset(conn, uint32(rlen), &b.Stats.Writevs)
 	if _, err := cd.DecodeRangeToCtx(ctx, w, cb, off, n, 0); err != nil {
 		if !w.wrote {
 			w.discard()
-			return b.respondErr(conn, err)
+			return j.fail(err)
 		}
 		if ctx.Err() != nil {
 			b.Stats.Cancelled.Add(1)
@@ -1052,8 +1039,10 @@ func (b *Blockserver) getRangeLocal(ctx context.Context, cd *core.Codec, sc *srv
 	}
 	if !w.wrote && w.pending == 0 {
 		// Empty range (off at or past the end): frame the zero-length body.
+		j.settle()
 		return WriteResponseHeader(conn, StatusOK, uint32(rlen)) == nil
 	}
+	j.settle()
 	if err := w.Flush(); err != nil {
 		b.Stats.Errors.Add(1)
 		return false
@@ -1078,6 +1067,7 @@ type vecFrameWriter struct {
 	hdr     [5]byte
 	bufs    net.Buffers
 	pending int  // payload bytes queued and not yet flushed
+	sent    int  // payload bytes flushed
 	wrote   bool // something reached the wire; the response is committed
 	writevs *atomic.Int64
 }
@@ -1095,6 +1085,7 @@ func (w *vecFrameWriter) reset(conn net.Conn, size uint32, writevs *atomic.Int64
 	w.conn = conn
 	w.size = size
 	w.pending = 0
+	w.sent = 0
 	w.wrote = false
 	w.writevs = writevs
 	w.bufs = w.bufs[:0]
@@ -1111,7 +1102,9 @@ func (w *vecFrameWriter) Write(p []byte) (int, error) {
 	}
 	w.bufs = append(w.bufs, p)
 	w.pending += len(p)
-	if w.pending >= vecFlushBytes || len(w.bufs) >= vecMaxIOV {
+	// The frame's last bytes wait for the handler's final Flush, which it
+	// issues only after settling the job.
+	if w.sent+w.pending < int(w.size) && (w.pending >= vecFlushBytes || len(w.bufs) >= vecMaxIOV) {
 		if err := w.Flush(); err != nil {
 			return 0, err
 		}
@@ -1132,6 +1125,7 @@ func (w *vecFrameWriter) Flush() error {
 	// backing view so discard() below can release the aliased segments.
 	v := w.bufs
 	_, err := v.WriteTo(w.conn)
+	w.sent += w.pending
 	w.discard()
 	return err
 }

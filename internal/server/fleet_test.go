@@ -111,7 +111,7 @@ func (n *testNode) restart(t *testing.T) {
 
 func (n *testNode) start(ln net.Listener) {
 	tr := &connTracker{Listener: ln, conns: map[net.Conn]struct{}{}}
-	b := &server.Blockserver{Store: n.st, MaxConcurrent: 4}
+	b := &server.Blockserver{Store: n.st, Shards: 4}
 	n.mu.Lock()
 	n.b = b
 	n.tr = tr

@@ -266,22 +266,29 @@ func DoCtx(ctx context.Context, addr string, op byte, payload []byte) ([]byte, e
 }
 
 // watchCtx interrupts conn's blocking I/O when ctx is cancelled by moving
-// its deadline into the past; the returned stop func releases the watcher.
-// A ctx that can never be cancelled costs nothing.
+// its deadline into the past; the returned stop func releases the watcher
+// and waits for it to exit, so a cancellation that lands after stop (a
+// caller's deferred cancel) can never touch the deadline the connection's
+// next exchange sets. A ctx that can never be cancelled costs nothing.
 func watchCtx(ctx context.Context, conn net.Conn) (stop func()) {
 	done := ctx.Done()
 	if done == nil {
 		return func() {}
 	}
 	stopCh := make(chan struct{})
+	exited := make(chan struct{})
 	go func() {
+		defer close(exited)
 		select {
 		case <-done:
 			_ = conn.SetDeadline(time.Now().Add(-time.Second))
 		case <-stopCh:
 		}
 	}()
-	return func() { close(stopCh) }
+	return func() {
+		close(stopCh)
+		<-exited
+	}
 }
 
 // ctxOr prefers the context's error over the I/O error it caused.

@@ -411,7 +411,7 @@ func TestPersistentConnectionMixedOps(t *testing.T) {
 // one-slot worker pool: everything must still complete (queued, not
 // rejected), and the load probe must see the backlog.
 func TestWorkerPoolBounded(t *testing.T) {
-	b := &server.Blockserver{MaxConcurrent: 1}
+	b := &server.Blockserver{Shards: 1}
 	addr := startServer(t, "tcp:127.0.0.1:0", b)
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"lepton/internal/core"
 	"lepton/internal/store"
@@ -69,27 +70,64 @@ type shardJob struct {
 	shard int // queue the job waits in while jobQueued
 	ok    bool
 	done  chan struct{} // buffered(1); completion is a send, never a close
+
+	// Set by the worker that takes the job; settle counts the job there.
+	ranOn   *shard
+	stolen  bool
+	settled bool
 }
 
 // run executes the job on a worker, with the worker's private codec.
 func (j *shardJob) run(cd *core.Codec) bool {
 	switch j.kind {
 	case jobCompress:
-		return j.b.compressLocal(j.ctx, cd, j.sc.conn, j.payload)
+		return j.b.compressLocal(j.ctx, cd, j, j.payload)
 	case jobDecompress:
-		return j.b.decompressLocal(j.ctx, cd, j.sc, j.payload)
+		return j.b.decompressLocal(j.ctx, cd, j, j.payload)
 	case jobPutRaw:
-		return j.b.putRawLocal(j.ctx, j.sc.conn, j.payload)
+		return j.b.putRawLocal(j.ctx, j, j.payload)
 	case jobPutCompressed:
-		return j.b.putCompressedLocal(j.ctx, j.sc.conn, j.payload)
+		return j.b.putCompressedLocal(j.ctx, j, j.payload)
 	case jobGetRaw:
-		return j.b.getRawLocal(j.ctx, j.sc.conn, j.hash)
+		return j.b.getRawLocal(j.ctx, j, j.hash)
 	case jobGetRange:
-		return j.b.getRangeLocal(j.ctx, cd, j.sc, j.hash, j.off, j.n)
+		return j.b.getRangeLocal(j.ctx, cd, j, j.hash, j.off, j.n)
 	case jobFunc:
 		return j.fn()
 	}
 	return false
+}
+
+// settle counts the job as done, once: the running worker's counters and,
+// for server jobs, the in-flight gauge runOnShard raised. Handlers call it
+// just before writing the last bytes of their response, so a client that
+// has read a whole response never finds its request still counted; the
+// worker calls it after run for paths that end without one (teardown, the
+// test hook).
+func (j *shardJob) settle() {
+	if j.settled {
+		return
+	}
+	j.settled = true
+	j.ranOn.jobs.Add(1)
+	if j.stolen {
+		j.ranOn.steals.Add(1)
+	}
+	if j.b != nil {
+		j.b.inFlight.Add(-1)
+	}
+}
+
+// reply settles the job and writes its whole response.
+func (j *shardJob) reply(status byte, body []byte) bool {
+	j.settle()
+	return WriteResponse(j.sc.conn, status, body) == nil
+}
+
+// fail settles the job and answers err in-band (see respondErr).
+func (j *shardJob) fail(err error) bool {
+	j.settle()
+	return j.b.respondErr(j.sc.conn, err)
 }
 
 // shard is one worker's slice of the pool: a FIFO of queued jobs, the
@@ -103,8 +141,8 @@ type shard struct {
 	cond    *sync.Cond // this worker's wait point (shares the pool mutex)
 	waiting bool       // worker is parked on cond
 
-	jobs   int64 // jobs this worker completed
-	steals int64 // of those, jobs taken from another shard's queue
+	jobs   atomic.Int64 // jobs this worker completed
+	steals atomic.Int64 // of those, jobs taken from another shard's queue
 }
 
 func (s *shard) push(j *shardJob) {
@@ -205,13 +243,11 @@ func (p *shardPool) worker(i int) {
 			continue
 		}
 		j.state = jobRunning
+		j.ranOn, j.stolen, j.settled = s, !home, false
 		p.mu.Unlock()
 		j.ok = j.run(s.codec)
+		j.settle()
 		p.mu.Lock()
-		s.jobs++
-		if !home {
-			s.steals++
-		}
 		j.state = jobIdle
 		j.done <- struct{}{}
 	}
@@ -279,10 +315,10 @@ func (p *shardPool) close() {
 // connection's embedded job record — zero allocations in steady state. The
 // in-flight gauge covers the queued wait as well as the conversion, so
 // load probes and the outsourcing trigger keep seeing backlog exactly as
-// they did with the semaphore.
+// they did with the semaphore. A job that runs lowers the gauge when it
+// settles, before its response goes out.
 func (b *Blockserver) runOnShard(ctx context.Context, sc *srvConn, kind jobKind, payload []byte) (bool, error) {
 	b.inFlight.Add(1)
-	defer b.inFlight.Add(-1)
 	j := &sc.job
 	if j.done == nil {
 		j.done = make(chan struct{}, 1)
@@ -296,6 +332,9 @@ func (b *Blockserver) runOnShard(ctx context.Context, sc *srvConn, kind jobKind,
 	err := b.pool.submit(ctx, j)
 	j.ctx = nil // do not pin the request context between requests
 	if err != nil {
+		// Withdrawn from the queue (or the pool is closed): it never ran,
+		// so it was never settled.
+		b.inFlight.Add(-1)
 		return false, err
 	}
 	return j.ok, nil

@@ -57,11 +57,11 @@ func TestShardPoolAffinity(t *testing.T) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for s := 0; s < 2; s++ {
-		if p.shards[s].jobs != 3 {
-			t.Errorf("shard %d ran %d jobs, want 3", s, p.shards[s].jobs)
+		if p.shards[s].jobs.Load() != 3 {
+			t.Errorf("shard %d ran %d jobs, want 3", s, p.shards[s].jobs.Load())
 		}
-		if p.shards[s].steals != 0 {
-			t.Errorf("shard %d stole %d jobs, want 0", s, p.shards[s].steals)
+		if p.shards[s].steals.Load() != 0 {
+			t.Errorf("shard %d stole %d jobs, want 0", s, p.shards[s].steals.Load())
 		}
 	}
 }
@@ -104,11 +104,11 @@ func TestShardPoolStealing(t *testing.T) {
 	<-blockerDone
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.shards[1].steals != 1 {
-		t.Errorf("shard 1 steals = %d, want 1", p.shards[1].steals)
+	if p.shards[1].steals.Load() != 1 {
+		t.Errorf("shard 1 steals = %d, want 1", p.shards[1].steals.Load())
 	}
-	if p.shards[0].jobs != 1 || p.shards[1].jobs != 1 {
-		t.Errorf("jobs = %d/%d, want 1/1", p.shards[0].jobs, p.shards[1].jobs)
+	if p.shards[0].jobs.Load() != 1 || p.shards[1].jobs.Load() != 1 {
+		t.Errorf("jobs = %d/%d, want 1/1", p.shards[0].jobs.Load(), p.shards[1].jobs.Load())
 	}
 }
 

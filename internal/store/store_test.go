@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"lepton/internal/imagegen"
+	"lepton/internal/jpeg"
 	"lepton/internal/store"
 )
 
@@ -174,6 +175,32 @@ func TestQualify(t *testing.T) {
 	if q.BytesOut >= q.BytesIn {
 		t.Fatal("qualification saw no savings")
 	}
+}
+
+// TestErrorCodeTable runs the qualification pipeline over the §6.2
+// anomaly-mix corpus: success dominates and each injected class is
+// classified correctly.
+func TestErrorCodeTable(t *testing.T) {
+	n := 120
+	if testing.Short() {
+		n = 60
+	}
+	q := store.Qualify(imagegen.ErrorCorpus(1, n))
+	if q.Total != n {
+		t.Fatalf("total = %d", q.Total)
+	}
+	if float64(q.ByReason[jpeg.ReasonNone])/float64(q.Total) < 0.85 {
+		t.Fatalf("success rate too low: %s", q)
+	}
+	for _, r := range []jpeg.Reason{jpeg.ReasonProgressive, jpeg.ReasonNotImage, jpeg.ReasonCMYK} {
+		if q.ByReason[r] == 0 {
+			t.Fatalf("reason %v missing from table: %s", r, q)
+		}
+	}
+	if q.CrossCheckFailures != 0 {
+		t.Fatalf("cross-check failures: %s", q)
+	}
+	t.Logf("\n%s", q)
 }
 
 func TestGetUnknownChunk(t *testing.T) {
