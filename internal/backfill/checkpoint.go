@@ -127,6 +127,9 @@ func decodeCheckpoint(data []byte) (Checkpoint, error) {
 	if c.Quarantined, err = readList("quarantine list"); err != nil {
 		return c, err
 	}
+	if len(data) != 0 {
+		return c, fmt.Errorf("backfill: checkpoint has %d trailing bytes", len(data))
+	}
 	return c, nil
 }
 

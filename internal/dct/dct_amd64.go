@@ -25,6 +25,22 @@ func InverseBorder(coef []int16, q *[64]uint16, dst *Block) {
 	inverseBorderGo(coef, q, dst)
 }
 
+// BorderGradient is the DC-gradient block kernel: the AC-only border
+// inverse transform of coef (see InverseBorder), the sum, min and max of
+// the gradient DC predictions against the neighbour edges sel selects
+// (GradAbove: above[x] continues column x; GradLeft: left[y] continues row
+// y; see Gradient.Extrapolate), and the block's own 32 AC-only edge
+// samples. On AVX2 hosts one assembly body does all of it, bit-identical
+// to borderGradientGo (differential-tested and fuzzed).
+func BorderGradient(coef []int16, q *[64]uint16, above, left *[8]int32, sel int, g *Gradient) {
+	_ = coef[:64]
+	if useAVX2 {
+		borderGradientAVX2(&coef[0], q, nil, above, left, sel&^gradBorderOnly, g)
+		return
+	}
+	borderGradientGo(coef, q, above, left, sel, g)
+}
+
 // NonzeroMask returns the raster-order occupancy mask of 64 coefficients:
 // bit i set iff coef[i] != 0 (bit 0 = DC).
 func NonzeroMask(coef []int16) uint64 {
@@ -48,7 +64,12 @@ func NonzeroMask32(b *Block) uint64 {
 // one allocation per coded block.
 //
 //go:noescape
-func inverseBorderAVX2(coef *int16, q *[64]uint16, dst *Block)
+func borderGradientAVX2(coef *int16, q *[64]uint16, dst *Block, above, left *[8]int32, sel int, grad *Gradient)
+
+// inverseBorderAVX2 is the border-transform-only entry to the AVX2 body.
+func inverseBorderAVX2(coef *int16, q *[64]uint16, dst *Block) {
+	borderGradientAVX2(coef, q, dst, nil, nil, gradBorderOnly, nil)
+}
 
 //go:noescape
 func nonzeroMask64AVX2(coef *int16) uint64

@@ -55,6 +55,26 @@ DATA dcMask<>+8(SB)/4, $0xFFFFFFFF
 DATA dcMask<>+12(SB)/4, $0xFFFFFFFF
 GLOBL dcMask<>(SB), RODATA|NOPTR, $16
 
+// Gather indices of sample columns 0 and 6 (dword offsets y*8+x).
+DATA col0Idx<>+0(SB)/8, $0x0000000800000000
+DATA col0Idx<>+8(SB)/8, $0x0000001800000010
+DATA col0Idx<>+16(SB)/8, $0x0000002800000020
+DATA col0Idx<>+24(SB)/8, $0x0000003800000030
+GLOBL col0Idx<>(SB), RODATA|NOPTR, $32
+
+DATA col6Idx<>+0(SB)/8, $0x0000000e00000006
+DATA col6Idx<>+8(SB)/8, $0x0000001e00000016
+DATA col6Idx<>+16(SB)/8, $0x0000002e00000026
+DATA col6Idx<>+24(SB)/8, $0x0000003e00000036
+GLOBL col6Idx<>(SB), RODATA|NOPTR, $32
+
+DATA maxI64<>+0(SB)/8, $0x7fffffffffffffff
+GLOBL maxI64<>(SB), RODATA|NOPTR, $8
+DATA signBit<>+0(SB)/8, $-9223372036854775808
+GLOBL signBit<>(SB), RODATA|NOPTR, $8
+DATA oneQ<>+0(SB)/8, $1
+GLOBL oneQ<>(SB), RODATA|NOPTR, $8
+
 // packIdx reorders the doubly-interleaved VPACKSSDW+VPACKSSWB byte groups
 // of nonzeroMask32AVX2 back into source order.
 DATA packIdx<>+0(SB)/4, $0
@@ -67,20 +87,34 @@ DATA packIdx<>+24(SB)/4, $3
 DATA packIdx<>+28(SB)/4, $7
 GLOBL packIdx<>(SB), RODATA|NOPTR, $32
 
-// func inverseBorderAVX2(coef *int16, q *[64]uint16, dst *Block)
+// func borderGradientAVX2(coef *int16, q *[64]uint16, dst *Block, above, left *[8]int32, sel int, grad *Gradient)
 //
+// The border transform, shared by InverseBorder and BorderGradient.
 // Column pass: acc[y][u] = sum_v Basis[v][y] * (coef[v][u]*q[v][u]) with
 // the DC term masked out, evaluated four columns (one u half) at a time in
 // eight int64 accumulator vectors; all-zero coefficient rows are skipped
 // (they contribute exactly zero). tmp[y][u] = low32((acc+4096)>>13) is
 // spilled to the frame. Row pass: for each y, a[x] = sum_u Basis[u][x] *
-// tmp[y][u] over the nonzero tmp entries, again in int64 lanes, and the
-// rounded samples are stored to the border cells only — full rows for y in
+// tmp[y][u] over the columns u with a nonzero AC coefficient (every other
+// column's intermediates are exactly zero), again in int64 lanes; the
+// column set is the same for every row, so the loop runs without
+// data-dependent branches. The rounded samples are stored to the border cells only — full rows for y in
 // {0,1,6,7}, x in {0,1,6,7} for interior rows — exactly the cells the
-// scalar path writes.
-TEXT ·inverseBorderAVX2(SB), $768-24
+// scalar path writes. A nil dst puts the samples in the frame.
+//
+// Unless sel has gradBorderOnly (4), the gradient tail follows: the 32
+// edge samples are copied to g.Edge, and each selected neighbour's eight
+// predictions nb - c0 + half(c1 - c0) are folded into g's sum, min and
+// max, in int64 lanes like borderGradientGo.
+TEXT ·borderGradientAVX2(SB), $1024-56
 	NO_LOCAL_POINTERS
 	MOVQ dst+16(FP), DI
+	TESTQ DI, DI
+	JNE havedst
+	LEAQ px-1024(SP), DI
+havedst:
+	MOVQ DI, R12              // samples, for the gradient tail
+	XORQ CX, CX               // bit u set: column u has a nonzero AC term
 	MOVQ $0, R13              // u half: 0 = columns 0..3, 1 = columns 4..7
 
 halfloop:
@@ -97,6 +131,7 @@ halfloop:
 	VPXOR Y5, Y5, Y5
 	VPXOR Y6, Y6, Y6
 	VPXOR Y7, Y7, Y7
+	VPXOR X11, X11, X11       // OR of the half's dequantized rows
 	MOVQ $0, R8               // v
 
 colv:
@@ -109,6 +144,7 @@ colv:
 	JNE nodc
 	VPAND dcMask<>(SB), X9, X9 // AC only: DC lane contributes nothing
 nodc:
+	VPOR X9, X11, X11
 	VPTEST X9, X9
 	JEQ colskip               // all-zero row: contributes exactly zero
 	VPMOVSXDQ X9, Y9          // int64 lanes, value in the even dwords
@@ -182,6 +218,18 @@ colskip:
 	VPSRLQ $13, Y7, Y7
 	VPERMD Y7, Y14, Y7
 	VMOVDQU X7, 224(R11)
+
+	// Columns with no nonzero AC term have all-zero intermediates.
+	VPXOR X12, X12, X12
+	VPCMPEQD X12, X11, X11
+	VMOVMSKPS X11, AX         // bit set: column all zero
+	NOTL AX
+	ANDL $15, AX
+	TESTQ R13, R13
+	JEQ lowhalf
+	SHLL $4, AX
+lowhalf:
+	ORL AX, CX
 	INCQ R13
 	CMPQ R13, $2
 	JLT halfloop
@@ -207,25 +255,24 @@ bsp:
 	VMOVDQU halfQ<>(SB), Y13
 	LEAQ tmp-768(SP), R11
 	MOVQ $0, R10              // y
+	LEAQ bspread-512(SP), R15
 rowy:
 	VPXOR Y0, Y0, Y0          // a[0..3]
 	VPXOR Y1, Y1, Y1          // a[4..7]
-	LEAQ bspread-512(SP), R15
-	MOVQ $0, R8               // u
+	MOVQ CX, BX               // the nonzero columns; the rest contribute zero
 rowu:
-	MOVL (R11)(R8*4), AX
-	TESTL AX, AX
-	JEQ rowskip               // zero intermediate: contributes exactly zero
+	BSFQ BX, R8               // u
+	JEQ rowdone
 	VPBROADCASTD (R11)(R8*4), Y9
-	VPMULDQ 0(R15), Y9, Y10
+	SHLQ $6, R8               // bspread row offset
+	VPMULDQ 0(R15)(R8*1), Y9, Y10
 	VPADDQ Y10, Y0, Y0
-	VPMULDQ 32(R15), Y9, Y10
+	VPMULDQ 32(R15)(R8*1), Y9, Y10
 	VPADDQ Y10, Y1, Y1
-rowskip:
-	ADDQ $64, R15
-	INCQ R8
-	CMPQ R8, $8
-	JLT rowu
+	LEAQ -1(BX), AX
+	ANDQ AX, BX
+	JMP rowu
+rowdone:
 	VPADDQ Y13, Y0, Y0
 	VPSRLQ $13, Y0, Y0
 	VPADDQ Y13, Y1, Y1
@@ -249,7 +296,113 @@ rownext:
 	INCQ R10
 	CMPQ R10, $8
 	JLT rowy
+
+	MOVQ sel+40(FP), AX
+	TESTQ $4, AX
+	JNE done                  // gradBorderOnly
+
+	// g.Edge: rows 6 and 7 are contiguous; columns 6 and 7 are gathered.
+	MOVQ grad+48(FP), R8
+	VMOVDQU 192(R12), Y0
+	VMOVDQU Y0, 24(R8)
+	VMOVDQU 224(R12), Y0
+	VMOVDQU Y0, 56(R8)
+	VMOVDQU col6Idx<>(SB), Y4
+	VPCMPEQD Y5, Y5, Y5
+	VPGATHERDD Y5, (R12)(Y4*4), Y6
+	VMOVDQU Y6, 88(R8)
+	VPCMPEQD Y5, Y5, Y5
+	VPSUBD Y5, Y4, Y4         // column 7: index + 1
+	VPCMPEQD Y5, Y5, Y5
+	VPGATHERDD Y5, (R12)(Y4*4), Y6
+	VMOVDQU Y6, 120(R8)
+
+	// Y8 = sum, Y9 = min, Y10 = max over the selected predictions.
+	VPXOR Y8, Y8, Y8
+	VPBROADCASTQ maxI64<>(SB), Y9
+	VPBROADCASTQ signBit<>(SB), Y10
+	VPBROADCASTQ oneQ<>(SB), Y11
+	VPBROADCASTQ signBit<>(SB), Y12
+
+	MOVQ sel+40(FP), AX
+	TESTQ $1, AX
+	JEQ noabove
+	MOVQ above+24(FP), SI
+	VPMOVSXDQ 0(R12), Y0      // c0: row 0, x = 0..3
+	VPMOVSXDQ 32(R12), Y1     // c1: row 1
+	VPMOVSXDQ 0(SI), Y2       // neighbour extrapolation
+	CALL vote<>(SB)
+	VPMOVSXDQ 16(R12), Y0     // x = 4..7
+	VPMOVSXDQ 48(R12), Y1
+	VPMOVSXDQ 16(SI), Y2
+	CALL vote<>(SB)
+noabove:
+	MOVQ sel+40(FP), AX
+	TESTQ $2, AX
+	JEQ noleft
+	MOVQ left+32(FP), SI
+	VMOVDQU col0Idx<>(SB), Y4
+	VPCMPEQD Y5, Y5, Y5
+	VPGATHERDD Y5, (R12)(Y4*4), Y6 // c0: column 0
+	VPCMPEQD Y5, Y5, Y5
+	VPSUBD Y5, Y4, Y4
+	VPCMPEQD Y5, Y5, Y5
+	VPGATHERDD Y5, (R12)(Y4*4), Y7 // c1: column 1
+	VPMOVSXDQ X6, Y0          // y = 0..3
+	VPMOVSXDQ X7, Y1
+	VPMOVSXDQ 0(SI), Y2
+	CALL vote<>(SB)
+	VEXTRACTI128 $1, Y6, X6   // y = 4..7
+	VEXTRACTI128 $1, Y7, X7
+	VPMOVSXDQ X6, Y0
+	VPMOVSXDQ X7, Y1
+	VPMOVSXDQ 16(SI), Y2
+	CALL vote<>(SB)
+noleft:
+	// Horizontal reductions to g.Sum, g.Min, g.Max.
+	VEXTRACTI128 $1, Y8, X0
+	VPADDQ X0, X8, X8
+	VPSHUFD $0x4E, X8, X0
+	VPADDQ X0, X8, X8
+	VMOVQ X8, 0(R8)
+	VEXTRACTI128 $1, Y9, X0
+	VPCMPGTQ X0, X9, X1
+	VPBLENDVB X1, X0, X9, X9
+	VPSHUFD $0x4E, X9, X0
+	VPCMPGTQ X0, X9, X1
+	VPBLENDVB X1, X0, X9, X9
+	VMOVQ X9, 8(R8)
+	VEXTRACTI128 $1, Y10, X0
+	VPCMPGTQ X10, X0, X1
+	VPBLENDVB X1, X0, X10, X10
+	VPSHUFD $0x4E, X10, X0
+	VPCMPGTQ X10, X0, X1
+	VPBLENDVB X1, X0, X10, X10
+	VMOVQ X10, 16(R8)
+done:
 	VZEROUPPER
+	RET
+
+// vote folds four predictions into Y8 (sum), Y9 (min) and Y10 (max):
+// p = nb - c0 + half(c1 - c0) with c0 in Y0, c1 in Y1, nb in Y2, where
+// half rounds half away from zero: (d + (d >= 0)) >> 1, the arithmetic
+// shift built from a logical one plus the sign bit (Y12); Y11 holds 1s.
+// Clobbers Y1 and Y3.
+TEXT vote<>(SB), NOSPLIT|NOFRAME, $0-0
+	VPSUBQ Y0, Y1, Y1         // d = c1 - c0
+	VPSRLQ $63, Y1, Y3        // 1 where d < 0
+	VPADDQ Y11, Y1, Y1
+	VPSUBQ Y3, Y1, Y1         // d + (d >= 0)
+	VPAND Y12, Y1, Y3
+	VPSRLQ $1, Y1, Y1
+	VPOR Y3, Y1, Y1           // half(d)
+	VPADDQ Y2, Y1, Y1
+	VPSUBQ Y0, Y1, Y1         // p
+	VPADDQ Y1, Y8, Y8
+	VPCMPGTQ Y1, Y9, Y3       // min > p
+	VPBLENDVB Y3, Y1, Y9, Y9
+	VPCMPGTQ Y10, Y1, Y3      // p > max
+	VPBLENDVB Y3, Y1, Y10, Y10
 	RET
 
 // func nonzeroMask64AVX2(coef *int16) uint64

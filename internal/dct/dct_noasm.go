@@ -9,6 +9,17 @@ func InverseBorder(coef []int16, q *[64]uint16, dst *Block) {
 	inverseBorderGo(coef, q, dst)
 }
 
+// BorderGradient is the DC-gradient block kernel: the AC-only border
+// inverse transform of coef (see InverseBorder), the sum, min and max of
+// the gradient DC predictions against the neighbour edges sel selects
+// (GradAbove: above[x] continues column x; GradLeft: left[y] continues row
+// y; see Gradient.Extrapolate), and the block's own 32 AC-only edge
+// samples. This build has no assembly kernels, so it is the scalar path
+// directly.
+func BorderGradient(coef []int16, q *[64]uint16, above, left *[8]int32, sel int, g *Gradient) {
+	borderGradientGo(coef, q, above, left, sel, g)
+}
+
 // NonzeroMask returns the raster-order occupancy mask of 64 coefficients:
 // bit i set iff coef[i] != 0 (bit 0 = DC).
 func NonzeroMask(coef []int16) uint64 { return nonzeroMaskGo(coef) }

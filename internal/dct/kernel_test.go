@@ -1,6 +1,8 @@
 package dct
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -37,6 +39,63 @@ func TestInverseBorderParity(t *testing.T) {
 		inverseBorderGo(coef, q, &want)
 		if got != want {
 			t.Fatalf("iter %d: InverseBorder diverges from portable path\ncoef=%v\nq=%v\ngot=%v\nwant=%v", iter, coef, q, got, want)
+		}
+	}
+}
+
+// randEdges fills a neighbour extrapolation with values spanning int32.
+func randEdges(rng *rand.Rand) *[8]int32 {
+	var e [8]int32
+	for i := range e {
+		switch rng.Intn(3) {
+		case 0:
+			e[i] = int32(rng.Intn(1<<17) - 1<<16) // the codec's range
+		default:
+			e[i] = int32(rng.Uint32())
+		}
+	}
+	return &e
+}
+
+// TestBorderGradientParity drives the dispatched BorderGradient against
+// its pure-Go twin over every neighbour selection and the full int16 and
+// uint16 ranges, where the border samples wrap int32 and the predictions
+// need all of int64.
+func TestBorderGradientParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for iter := 0; iter < 5000; iter++ {
+		coef := randCoef(rng, iter%65)
+		q := randQuant(rng)
+		above, left := randEdges(rng), randEdges(rng)
+		sel := iter % 4
+		var got, want Gradient
+		BorderGradient(coef, q, above, left, sel, &got)
+		borderGradientGo(coef, q, above, left, sel, &want)
+		if got != want {
+			t.Fatalf("iter %d sel %d: BorderGradient diverges from portable path\ncoef=%v\nq=%v\ngot=%+v\nwant=%+v", iter, sel, coef, q, got, want)
+		}
+	}
+}
+
+// TestBorderGradientMatchesInverseBorder pins the twin to the border
+// transform it is built on: the edge samples are InverseBorder's rows 6, 7
+// and columns 6, 7.
+func TestBorderGradientMatchesInverseBorder(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for iter := 0; iter < 1000; iter++ {
+		coef := randCoef(rng, iter%65)
+		q := randQuant(rng)
+		var px Block
+		InverseBorder(coef, q, &px)
+		var g Gradient
+		BorderGradient(coef, q, randEdges(rng), randEdges(rng), 0, &g)
+		for i := 0; i < 8; i++ {
+			if g.Edge[i] != px[48+i] || g.Edge[8+i] != px[56+i] || g.Edge[16+i] != px[i*8+6] || g.Edge[24+i] != px[i*8+7] {
+				t.Fatalf("iter %d: edge samples differ from InverseBorder at %d", iter, i)
+			}
+		}
+		if g.Sum != 0 || g.Min != math.MaxInt64 || g.Max != math.MinInt64 {
+			t.Fatalf("iter %d: no neighbour selected, got sum/min/max %d/%d/%d", iter, g.Sum, g.Min, g.Max)
 		}
 	}
 }
@@ -97,9 +156,19 @@ func FuzzKernelParity(f *testing.F) {
 		seed[i] = byte(i * 37)
 	}
 	f.Add(seed, uint8(255))
+	extreme := make([]byte, 320)
+	for i := range extreme {
+		extreme[i] = 0xFF ^ byte(i&1)<<7 // int16 extremes, q near 65535, int32 edges
+	}
+	f.Add(extreme, uint8(255))
 	f.Fuzz(func(t *testing.T, raw []byte, salt uint8) {
 		if len(raw) < 256 {
 			return
+		}
+		var above, left [8]int32
+		for i := 0; i < 8 && 256+8*i+8 <= len(raw); i++ {
+			above[i] = int32(binary.LittleEndian.Uint32(raw[256+8*i:]))
+			left[i] = int32(binary.LittleEndian.Uint32(raw[260+8*i:]))
 		}
 		coef := make([]int16, 64)
 		var q [64]uint16
@@ -114,6 +183,14 @@ func FuzzKernelParity(f *testing.F) {
 		inverseBorderGo(coef, &q, &want)
 		if got != want {
 			t.Fatalf("InverseBorder diverges from portable path\ncoef=%v\nq=%v", coef, q)
+		}
+		for sel := 0; sel < 4; sel++ {
+			var got, want Gradient
+			BorderGradient(coef, &q, &above, &left, sel, &got)
+			borderGradientGo(coef, &q, &above, &left, sel, &want)
+			if got != want {
+				t.Fatalf("BorderGradient sel %d diverges from portable path\ncoef=%v\nq=%v\nabove=%v left=%v", sel, coef, q, above, left)
+			}
 		}
 		if g, w := NonzeroMask(coef), nonzeroMaskGo(coef); g != w {
 			t.Fatalf("NonzeroMask=%#x portable=%#x coef=%v", g, w, coef)

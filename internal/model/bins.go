@@ -11,6 +11,8 @@
 package model
 
 import (
+	"math/bits"
+
 	"lepton/internal/arith"
 )
 
@@ -158,10 +160,7 @@ func (em *emitter) encodeVal(mb *magBins, rb *resBins, v int32) int32 {
 		mag = -mag
 		neg = 1
 	}
-	l := 0
-	for m := mag; m != 0; m >>= 1 {
-		l++
-	}
+	l := bits.Len32(uint32(mag))
 	for i := 0; i < l; i++ {
 		em.ebit(&mb.exp[i], 1)
 	}
@@ -255,67 +254,41 @@ func log2(x float64) float64 {
 	return float64(e) + ln*invLn2
 }
 
-// ilog159 returns floor(log base 1.59 of x), clamped to [0, nBuckets-1] —
-// the bucketing function of A.2.1.
+// ilog159Tab[x] is floor(log base 1.59 of x), clamped to [0, nBuckets-1],
+// for x <= 64 — the bucketing function of A.2.1 over every count the model
+// buckets. The thresholds are 1.59^k rounded: 1, 1.59, 2.5, 4.0, 6.4, 10.2,
+// 16.2, 25.7, 40.9, 65.1.
+var ilog159Tab = func() (t [65]uint8) {
+	for x := range t {
+		for _, th := range [...]int{2, 3, 4, 7, 11, 17, 26, 41, 65} {
+			if x >= th {
+				t[x]++
+			}
+		}
+	}
+	return t
+}()
+
+// ilog159 is ilog159Tab extended to every x: 0 below 1, 9 from 65 up.
 func ilog159(x int32) int {
-	if x <= 0 {
+	if uint32(x) < uint32(len(ilog159Tab)) {
+		return int(ilog159Tab[x])
+	}
+	if x < 0 {
 		return 0
 	}
-	// Thresholds 1.59^k rounded: 1, 1.59, 2.5, 4.0, 6.4, 10.2, 16.2, 25.7,
-	// 40.9, 65.1.
-	switch {
-	case x >= 65:
-		return 9
-	case x >= 41:
-		return 8
-	case x >= 26:
-		return 7
-	case x >= 17:
-		return 6
-	case x >= 11:
-		return 5
-	case x >= 7:
-		return 4
-	case x >= 4:
-		return 3
-	case x >= 3:
-		return 2
-	case x >= 2:
-		return 1
-	default:
-		return 0
-	}
+	return nBuckets - 1
 }
 
 // ilog2 returns the bit length of |x| clamped to limit-1.
 func ilog2(x int32, limit int) int {
-	if x < 0 {
-		x = -x
-	}
-	l := 0
-	for x != 0 {
-		x >>= 1
-		l++
-	}
-	if l >= limit {
-		l = limit - 1
-	}
-	return l
+	s := x >> 31
+	return min(bits.Len32(uint32((x^s)-s)), limit-1)
 }
 
 // predBucket maps a predicted coefficient value to a signed-log context
-// bucket in [0, predBuckets).
+// bucket in [0, predBuckets): 0 for zero, else twice the bit length of |p|
+// (clamped to 10) plus one for negative p.
 func predBucket(p int32) int {
-	if p == 0 {
-		return 0
-	}
-	s := ilog2(p, 11) // 1..10
-	b := s * 2
-	if p < 0 {
-		b++
-	}
-	if b >= predBuckets {
-		b = predBuckets - 1
-	}
-	return b
+	return 2*ilog2(p, 11) + int(uint32(p)>>31)
 }

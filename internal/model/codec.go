@@ -182,36 +182,39 @@ func (c *Codec) ModelBytes() int { return c.BinCount() * 4 }
 // segState holds the per-component rolling caches used while walking a
 // segment in raster order.
 type segState struct {
-	nzAbove  []uint8
-	nzCur    []uint8
-	edAbove  []blockEdges
-	edCur    []blockEdges
-	hasAbove bool
-	prevDC   int32
+	// mAbove and mCur hold each block's nonzero AC mask (raster bits,
+	// DC excluded) for the row above and the current row.
+	mAbove, mCur []uint64
+	// edAbove and edCur hold each block's extrapolated DC edges.
+	edAbove, edCur []blockEdges
+	recip          quantRecips
+	hasAbove       bool
+	prevDC         int32
 }
 
 // reset sizes the caches for a plane w blocks wide, growing the backing
-// arrays only when needed. Stale contents are harmless: nzAbove/edAbove are
-// read only once hasAbove is set (after the first nextRow), and nzCur/edCur
+// arrays only when needed. Stale contents are harmless: mAbove/edAbove are
+// read only once hasAbove is set (after the first nextRow), and mCur/edCur
 // are written at every column before any read.
-func (s *segState) reset(w int) {
-	if cap(s.nzAbove) < w {
-		s.nzAbove = make([]uint8, w)
-		s.nzCur = make([]uint8, w)
+func (s *segState) reset(w int, q *[64]uint16) {
+	if cap(s.mAbove) < w {
+		s.mAbove = make([]uint64, w)
+		s.mCur = make([]uint64, w)
 		s.edAbove = make([]blockEdges, w)
 		s.edCur = make([]blockEdges, w)
 	} else {
-		s.nzAbove = s.nzAbove[:w]
-		s.nzCur = s.nzCur[:w]
+		s.mAbove = s.mAbove[:w]
+		s.mCur = s.mCur[:w]
 		s.edAbove = s.edAbove[:w]
 		s.edCur = s.edCur[:w]
 	}
+	s.recip.build(q)
 	s.hasAbove = false
 	s.prevDC = 0
 }
 
 func (s *segState) nextRow() {
-	s.nzAbove, s.nzCur = s.nzCur, s.nzAbove
+	s.mAbove, s.mCur = s.mCur, s.mAbove
 	s.edAbove, s.edCur = s.edCur, s.edAbove
 	s.hasAbove = true
 	s.prevDC = 0
@@ -254,7 +257,7 @@ func (c *Codec) run(em *emitter, done <-chan struct{}) error {
 	for ci := range c.comps {
 		cp := &c.comps[ci]
 		st := &c.st
-		st.reset(cp.BlocksWide)
+		st.reset(cp.BlocksWide, cp.Quant)
 		var aboveRow []int16
 		for row := c.rowStart[ci]; row < c.rowEnd[ci]; row++ {
 			if done != nil {
@@ -290,32 +293,33 @@ func (c *Codec) run(em *emitter, done <-chan struct{}) error {
 // codeBlock transports one block through the model in either direction.
 // curRow holds the block row being coded, aboveRow the previous block row
 // of the same component (nil on the segment's first row).
+//
+// The context work runs as a few per-block kernels rather than per
+// coefficient: the 7x7 buckets come from one sparse pass over the
+// neighbours' nonzeros, both edge orientations' Lakhani numerators from one
+// pass over the block's own 7x7 nonzeros plus one per neighbour, and the
+// DC predictor, border transform and edge cache from one dct kernel.
+// Quantizer divides go through the segment's reciprocal table.
 func (c *Codec) codeBlock(em *emitter, ci, col int, st *segState, curRow, aboveRow []int16) error {
-	cp := &c.comps[ci]
 	ch := c.bins[ci]
-	q := cp.Quant
-	cur := curRow[col*64 : col*64+64]
+	q := c.comps[ci].Quant
+	cur := (*[64]int16)(curRow[col*64 : col*64+64])
 
-	var above, left, aboveLeft []int16
+	above, left, aboveLeft := &zeroBlock, &zeroBlock, &zeroBlock
+	var mA, mL, mAL uint64
 	if st.hasAbove {
-		above = aboveRow[col*64 : col*64+64]
+		above, mA = (*[64]int16)(aboveRow[col*64:col*64+64]), st.mAbove[col]
 		if col > 0 {
-			aboveLeft = aboveRow[(col-1)*64 : col*64]
+			aboveLeft, mAL = (*[64]int16)(aboveRow[col*64-64:col*64]), st.mAbove[col-1]
 		}
 	}
 	if col > 0 {
-		left = curRow[(col-1)*64 : col*64]
+		left, mL = (*[64]int16)(curRow[col*64-64:col*64]), st.mCur[col-1]
 	}
 
 	// --- Nonzero count of the 7x7 class (A.2.1). ---
-	var nzA, nzL int32
-	if st.hasAbove {
-		nzA = int32(st.nzAbove[col])
-	}
-	if col > 0 {
-		nzL = int32(st.nzCur[col-1])
-	}
-	ctxN := ilog159((nzA + nzL) / 2)
+	nzA, nzL := bits.OnesCount64(mA&mask49), bits.OnesCount64(mL&mask49)
+	ctxN := ilog159Tab[(nzA+nzL)/2]
 	em.cls = Class77
 	n77 := 0
 	var nzMask uint64
@@ -323,7 +327,7 @@ func (c *Codec) codeBlock(em *emitter, ci, col int, st *segState, curRow, aboveR
 		// One vectorized occupancy scan answers the 7x7 count here and both
 		// edge counts below (encode only touches cur with idempotent writes,
 		// so the mask stays valid for the whole block).
-		nzMask = dct.NonzeroMask(cur)
+		nzMask = dct.NonzeroMask(cur[:])
 		n77 = bits.OnesCount64(nzMask & mask49)
 	}
 	n77 = em.codeTree(ch.nz77[ctxN][:], n77, 6)
@@ -332,18 +336,20 @@ func (c *Codec) codeBlock(em *emitter, ci, col int, st *segState, curRow, aboveR
 	}
 
 	// --- 7x7 coefficients in zigzag order. ---
-	em.cls = Class77
+	var avgB [64]uint8
+	if n77 > 0 {
+		avgContext(&avgB, above, left, aboveLeft, (mA|mL|mAL)&mask49)
+	}
+	var m uint64 // this block's nonzero AC positions, set as they are coded
 	rem := n77
 	for k := 0; k < 49 && rem > 0; k++ {
 		pos := zigzag49[k]
-		avg := avg77(above, left, aboveLeft, pos)
-		aB := ilog2(avg, avgBuckets)
-		nB := ilog159(int32(rem))
-		mb := &ch.coef77[k][aB][nB]
+		mb := &ch.coef77[k][avgB[pos]][ilog159Tab[rem]]
 		v := em.codeVal(mb, &ch.res77, int32(cur[pos]))
 		cur[pos] = int16(v)
 		if v != 0 {
 			rem--
+			m |= 1 << pos
 		}
 	}
 	if rem > 0 {
@@ -352,6 +358,8 @@ func (c *Codec) codeBlock(em *emitter, ci, col int, st *segState, curRow, aboveR
 
 	// --- Edge coefficients: 7x1 row then 1x7 column (A.2.2). ---
 	ctxE := ilog2(int32(n77), 8)
+	var acc [2][8]int64 // Lakhani numerators, [orientation][index]
+	haveInterior := false
 	for orient := 0; orient < 2; orient++ {
 		em.cls = ClassEdge
 		nEdge := 0
@@ -359,29 +367,37 @@ func (c *Codec) codeBlock(em *emitter, ci, col int, st *segState, curRow, aboveR
 			nEdge = bits.OnesCount64(nzMask & edgeMask[orient])
 		}
 		nEdge = em.codeTree(ch.nzEdge[orient][ctxE][:], nEdge, 3)
-		em.cls = ClassEdge
+		if nEdge == 0 {
+			continue
+		}
+		lakhani := c.flags.EdgePrediction && (orient == 0 && st.hasAbove || orient == 1 && col > 0)
+		if lakhani {
+			if !haveInterior {
+				edgeInterior(cur, q, m&mask49, &acc)
+				haveInterior = true
+			}
+			if orient == 0 {
+				edgeAbove(above, q, mA, &acc[0])
+			} else {
+				edgeLeft(left, q, mL, &acc[1])
+			}
+		}
+		step := 1 + 7*orient // raster stride along the top row or left column
 		rem := nEdge
 		for i := 1; i < 8 && rem > 0; i++ {
-			pos := i // orient 0: top row, raster position u
-			if orient == 1 {
-				pos = i * 8 // left column, raster position v*8
+			pos := i * step
+			pb := 0 // a Lakhani predictor without its neighbour predicts 0
+			if lakhani {
+				pb = predBucket(edgePrediction(acc[orient][i], st.recip[orient][i]))
+			} else if !c.flags.EdgePrediction {
+				pb = predBucket(avg77(above, left, aboveLeft, pos))
 			}
-			var pred int32
-			if c.flags.EdgePrediction {
-				if orient == 0 && st.hasAbove {
-					pred = lakhaniRow(above, cur, q, i)
-				} else if orient == 1 && col > 0 {
-					pred = lakhaniCol(left, cur, q, i)
-				}
-			} else {
-				pred = avg77(above, left, aboveLeft, uint8(pos))
-			}
-			pb := predBucket(pred)
 			mb := &ch.coefEdge[orient][i-1][pb]
 			v := em.codeVal(mb, &ch.resEdge, int32(cur[pos]))
 			cur[pos] = int16(v)
 			if v != 0 {
 				rem--
+				m |= 1 << pos
 			}
 		}
 		if rem > 0 {
@@ -391,24 +407,24 @@ func (c *Codec) codeBlock(em *emitter, ci, col int, st *segState, curRow, aboveR
 
 	// --- DC, last, so every AC coefficient informs the prediction
 	// (A.2.3). ---
-	var abEd, lfEd *blockEdges
-	if st.hasAbove {
-		abEd = &st.edAbove[col]
-	}
-	if col > 0 {
-		lfEd = &st.edCur[col-1]
-	}
-	var pred int32
-	var conf int
-	var px dct.Block
+	pred, conf := st.prevDC, confBuckets-1
+	var g dct.Gradient
 	if c.flags.DCGradient {
-		// One inverse transform serves both the DC predictor and the edge
-		// cache update below.
-		acOnlyPixels(cur, q, &px)
-		pred, conf = dcPrediction(&px, q, abEd, lfEd, st.prevDC)
-	} else {
-		pred = st.prevDC
-		conf = confBuckets - 1
+		sel, n := 0, 0
+		nbL := &zeroEdges.right
+		if st.hasAbove {
+			sel, n = sel|dct.GradAbove, n+8
+		}
+		if col > 0 {
+			sel, n = sel|dct.GradLeft, n+8
+			nbL = &st.edCur[col-1].right
+		}
+		// One kernel call serves both the DC predictor and the edge cache
+		// update below.
+		dct.BorderGradient(cur[:], q, &st.edAbove[col].bottom, nbL, sel, &g)
+		if n > 0 {
+			pred, conf = gradientDC(&g, n, st.recip[0][0])
+		}
 	}
 	em.cls = ClassDC
 	delta := em.codeVal(&ch.dc[conf], &ch.resDC, int32(cur[0])-pred)
@@ -419,13 +435,14 @@ func (c *Codec) codeBlock(em *emitter, ci, col int, st *segState, curRow, aboveR
 	cur[0] = int16(v)
 
 	// --- Update rolling caches. ---
-	st.nzCur[col] = uint8(n77)
+	st.mCur[col] = m
 	if c.flags.DCGradient {
 		// The edge cache feeds only the DC gradient predictor; skip it
 		// entirely in the PackJPG-style configuration.
-		edgesFromPixels(&px, v, q, &st.edCur[col])
+		e := &st.edCur[col]
+		g.Extrapolate(dcPixelShift(v, q), &e.bottom, &e.right)
 	}
-	st.prevDC = int32(cur[0])
+	st.prevDC = v
 	return nil
 }
 
@@ -435,7 +452,12 @@ func (c *Codec) codeBlock(em *emitter, ci, col int, st *segState, curRow, aboveR
 //	mask49      the 7x7 interior (u >= 1 and v >= 1): every row byte 1..7
 //	            with its u=0 bit cleared;
 //	edgeMask[0] the top row u = 1..7;
-//	edgeMask[1] the left column v = 1..7 (bits 8, 16, ..., 56).
-const mask49 = 0xFEFEFEFEFEFEFE00
+//	edgeMask[1] the left column v = 1..7 (bits 8, 16, ..., 56);
+//	row0, column0 the whole top row and left column.
+const (
+	mask49  = 0xFEFEFEFEFEFEFE00
+	row0    = 0x00000000000000FF
+	column0 = 0x0101010101010101
+)
 
 var edgeMask = [2]uint64{0x00000000000000FE, 0x0101010101010100}

@@ -338,11 +338,11 @@ func TestDCPredictionSmoothGradient(t *testing.T) {
 	above := mk(8, 0)
 	left := mk(0, 8)
 	cur := mk(8, 8)
-	var abEd, lfEd blockEdges
+	var abEd, lfEd refEdges
 	computeEdges(above, &q, &abEd)
 	computeEdges(left, &q, &lfEd)
 	var px dct.Block
-	acOnlyPixels(cur, &q, &px)
+	dct.InverseBorder(cur, &q, &px)
 	pred, conf := dcPrediction(&px, &q, &abEd, &lfEd, 0)
 	actual := int32(cur[0])
 	diff := pred - actual
@@ -357,13 +357,6 @@ func TestDCPredictionSmoothGradient(t *testing.T) {
 	if pred != 123 {
 		t.Fatalf("fallback pred = %d", pred)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // TestCodecDoesNotAliasCallerPlanes guards the NewCodec copy semantics:

@@ -1,6 +1,8 @@
 package model
 
 import (
+	"math/bits"
+
 	"lepton/internal/dct"
 )
 
@@ -18,232 +20,178 @@ var zigzag49 = func() [49]uint8 {
 	return out
 }()
 
-// div rounds half away from zero, deterministically (paper §5.2: identical
-// on every platform and build).
-func div(a, b int64) int64 {
-	if b < 0 {
-		a, b = -a, -b
-	}
-	if a >= 0 {
-		return (a + b/2) / b
-	}
-	return -((-a + b/2) / b)
+// zeroBlock stands in for a neighbour outside the segment: with an empty
+// nonzero mask it is never read by the sparse passes, and the dense
+// avg77 reads it as zero magnitudes.
+var zeroBlock [64]int16
+
+// Every divide in the model rounds half away from zero, deterministically
+// (paper §5.2: identical on every platform and build). Divisors are either
+// compile-time constants or quantizer steps; the steps go through recip.
+
+// abs64 returns |a| as an unsigned magnitude and the sign mask of a (0 or
+// -1), so signed(m, s) restores the sign.
+func abs64(a int64) (uint64, int64) {
+	s := a >> 63
+	return uint64((a ^ s) - s), s
 }
 
-// div2 is div(a, 2) without the divide: adding ±1 toward the sign and
-// truncating halves with identical round-half-away-from-zero results. The
-// gradient extrapolations call this twice per border pair, which made the
-// generic divide a measurable slice of both codec directions.
-func div2(a int64) int64 {
-	return (a + (a>>63 | 1)) / 2
+func signed(m uint64, s int64) int64 { return (int64(m) ^ s) - s }
+
+// divPow2 is a / 2^k rounded half away from zero.
+func divPow2(a int64, k uint) int64 {
+	m, s := abs64(a)
+	return signed((m+1<<(k-1))>>k, s)
+}
+
+// basis00 is dct.Basis[0][0] as an untyped constant, so divBasis00
+// strength-reduces to a multiply. TestBasis00Pinned keeps it honest
+// against the table.
+const basis00 = 2896
+
+// divBasis00 is a / basis00 rounded half away from zero.
+func divBasis00(a int64) int64 {
+	m, s := abs64(a)
+	return signed((m+basis00/2)/basis00, s)
+}
+
+// recip divides by one quantizer step d >= 1 (the JPEG parser rejects zero
+// steps) without a hardware divide: m = ⌊(2^64−1)/d⌋ underestimates 2^64/d
+// by less than one part in d, so the multiply-high quotient is the exact
+// floor or one short of it, and one remainder test corrects it.
+type recip struct {
+	m, d uint64
+}
+
+func newRecip(d uint16) recip { return recip{m: ^uint64(0) / uint64(d), d: uint64(d)} }
+
+// div is a / d rounded half away from zero, exact for |a| < 2^62 (the
+// model's numerators stay below 2^50).
+func (r recip) div(a int64) int64 {
+	n, s := abs64(a)
+	n += r.d >> 1
+	qt, _ := bits.Mul64(n, r.m)
+	if n-qt*r.d >= r.d {
+		qt++
+	}
+	return signed(qt, s)
+}
+
+// quantRecips holds the reciprocals of the steps the predictors requantize
+// by: [0][u] = q[u] along the top row ([0][0] is the DC step) and
+// [1][v] = q[v*8] down the left column. Codec.run builds it once per
+// component and segment.
+type quantRecips [2][8]recip
+
+func (r *quantRecips) build(q *[64]uint16) {
+	for i := 0; i < 8; i++ {
+		r[0][i] = newRecip(q[i])
+		r[1][i] = newRecip(q[i*8])
+	}
 }
 
 // avg77 computes the 7x7 neighborhood-magnitude context of A.2.1: the
 // weighted average (13|A| + 13|L| + 6|AL|)/32 of the co-located coefficients
-// in the above, left, and above-left blocks.
-func avg77(above, left, aboveLeft []int16, pos uint8) int32 {
-	var acc int64
-	if above != nil {
-		a := int64(above[pos])
-		if a < 0 {
-			a = -a
-		}
-		acc += 13 * a
+// in the above, left, and above-left blocks (zeroBlock when missing).
+func avg77(above, left, aboveLeft *[64]int16, pos int) int32 {
+	abs := func(v int16) int32 {
+		s := int32(v) >> 31
+		return (int32(v) ^ s) - s
 	}
-	if left != nil {
-		l := int64(left[pos])
-		if l < 0 {
-			l = -l
-		}
-		acc += 13 * l
-	}
-	if aboveLeft != nil {
-		al := int64(aboveLeft[pos])
-		if al < 0 {
-			al = -al
-		}
-		acc += 6 * al
-	}
-	return int32(acc >> 5)
+	return (13*abs(above[pos]) + 13*abs(left[pos]) + 6*abs(aboveLeft[pos])) >> 5
 }
 
-// basis00 is dct.Basis[0][0] as an untyped constant so the divisions in the
-// Lakhani predictors strength-reduce to multiplies at the inlined div call
-// sites (a real IDIV per edge coefficient was a measurable slice of both
-// codec directions). TestBasis00Pinned keeps it honest against the table.
-const basis00 = 2896
+// avgContext fills b with the avg77 bucket of every interior raster
+// position in m — the positions where some neighbour is nonzero. Every
+// other position's average is zero, so its bucket stays 0.
+func avgContext(b *[64]uint8, above, left, aboveLeft *[64]int16, m uint64) {
+	for ; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		b[i] = uint8(ilog2(avg77(above, left, aboveLeft, i), avgBuckets))
+	}
+}
 
-// lakhaniCol predicts the left-column coefficient F[v*8+0] (the "1x7" class)
-// from the left block's full coefficients and the current block's already
-// known 7x7 coefficients, assuming pixel continuity across the vertical
-// block edge (A.2.2):
+// The Lakhani edge predictor (A.2.2) assumes pixel continuity across the
+// block edge shared with a neighbour. For the top row (orientation 0) and
+// the left column (orientation 1) it predicts
 //
+//	F̄[0,u] = (Σ_v B[v][7]·A[v,u] − Σ_{v≥1} B[v][0]·F[v,u]) / B[0][0]
 //	F̄[v,0] = (Σ_u B[u][7]·L[v,u] − Σ_{u≥1} B[u][0]·F[v,u]) / B[0][0]
 //
-// All inputs are quantized coefficients; the arithmetic runs dequantized and
-// the result is re-quantized to the coefficient's step.
-func lakhaniCol(left, cur []int16, q *[64]uint16, v int) int32 {
-	var acc int64
-	for u := 0; u < 8; u++ {
-		acc += int64(dct.Basis[u][7]) * int64(left[v*8+u]) * int64(q[v*8+u])
+// over dequantized coefficients of the above block A, the left block L and
+// the current block's 7x7 interior F, then requantizes to the predicted
+// coefficient's step. Every term is a product with one coefficient, so the
+// numerators accumulate sparsely over nonzero masks.
+
+// edgeInterior subtracts the current block's 7x7 terms from both
+// orientations' numerators in one pass over its interior nonzeros m.
+func edgeInterior(cur *[64]int16, q *[64]uint16, m uint64, acc *[2][8]int64) {
+	for ; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		v, u := i>>3, i&7
+		d := int64(cur[i]) * int64(q[i])
+		acc[0][u] -= int64(dct.Basis[v][0]) * d
+		acc[1][v] -= int64(dct.Basis[u][0]) * d
 	}
-	for u := 1; u < 8; u++ {
-		acc -= int64(dct.Basis[u][0]) * int64(cur[v*8+u]) * int64(q[v*8+u])
-	}
-	// acc is scaled by 2^BasisScaleBits; dividing by B[0][0] (same scale)
-	// cancels the scaling. Then re-quantize.
-	pred := div(acc, basis00)
-	return clampCoef(div(pred, int64(q[v*8])))
 }
 
-// lakhaniRow predicts the top-row coefficient F[0*8+u] (the "7x1" class)
-// from the above block, symmetric to lakhaniCol.
-func lakhaniRow(above, cur []int16, q *[64]uint16, u int) int32 {
-	var acc int64
-	for v := 0; v < 8; v++ {
-		acc += int64(dct.Basis[v][7]) * int64(above[v*8+u]) * int64(q[v*8+u])
+// edgeAbove adds the above block's terms (nonzeros m) to the top-row
+// numerators.
+func edgeAbove(above *[64]int16, q *[64]uint16, m uint64, acc *[8]int64) {
+	for m &^= column0; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		acc[i&7] += int64(dct.Basis[i>>3][7]) * int64(above[i]) * int64(q[i])
 	}
-	for v := 1; v < 8; v++ {
-		acc -= int64(dct.Basis[v][0]) * int64(cur[v*8+u]) * int64(q[v*8+u])
+}
+
+// edgeLeft adds the left block's terms (nonzeros m) to the left-column
+// numerators.
+func edgeLeft(left *[64]int16, q *[64]uint16, m uint64, acc *[8]int64) {
+	for m &^= row0; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		acc[i>>3] += int64(dct.Basis[i&7][7]) * int64(left[i]) * int64(q[i])
 	}
-	pred := div(acc, basis00)
-	return clampCoef(div(pred, int64(q[u])))
+}
+
+// edgePrediction finishes one Lakhani numerator: divide out B[0][0] (the
+// basis scale cancels), requantize by the coefficient's step, clamp.
+func edgePrediction(acc int64, r recip) int32 {
+	return clampCoef(r.div(divBasis00(acc)))
 }
 
 func clampCoef(v int64) int32 {
-	if v > 2047 {
-		return 2047
-	}
-	if v < -2048 {
-		return -2048
-	}
-	return int32(v)
+	return int32(min(max(v, -2048), 2047))
 }
 
-// blockEdges computes the 16 boundary samples cached for DC prediction: the
-// bottom two pixel rows and right two pixel columns of the fully decoded
-// (AC+DC, dequantized) block. Values are in IDCT sample space (no +128
-// shift, unclamped) and saturate int16.
+// blockEdges is a block's extrapolated edge cache for DC prediction (see
+// dct.Gradient.Extrapolate): bottom[x] continues column x into the block
+// below, right[y] continues row y into the block to the right.
 type blockEdges struct {
-	bottom [16]int16 // rows 6 and 7: [x] and [8+x]
-	right  [16]int16 // cols 6 and 7: [y] and [8+y]
+	bottom, right [8]int32
 }
 
-// acOnlyPixels computes the inverse DCT of a block's AC coefficients alone
-// (DC treated as zero), dequantized. Both the DC predictor and the edge
-// cache derive from this single transform — the block's full pixels are
-// these plus a constant DC shift. Dequantization and the transform are
-// fused, and only the border rows and columns the two consumers read are
-// computed (dct.InverseBorder); px must come in zeroed, which every
-// caller's fresh stack block guarantees.
-func acOnlyPixels(coef []int16, q *[64]uint16, px *dct.Block) {
-	dct.InverseBorder(coef, q, px)
-}
+// zeroEdges is passed for an unselected left neighbour.
+var zeroEdges blockEdges
 
 // dcPixelShift is the uniform per-sample contribution of the quantized DC
 // coefficient: the orthonormal basis gives each sample dc*q0/8.
 func dcPixelShift(dc int32, q *[64]uint16) int32 {
-	return int32(div(int64(dc)*int64(q[0]), 8))
+	return int32(divPow2(int64(dc)*int64(q[0]), 3))
 }
 
-// edgesFromPixels fills the edge cache from the AC-only pixels plus the DC
-// shift (exactness against a reference IDCT is irrelevant; encoder/decoder
-// agreement is what matters, §5.2).
-func edgesFromPixels(px *dct.Block, dc int32, q *[64]uint16, e *blockEdges) {
-	shift := dcPixelShift(dc, q)
-	for x := 0; x < 8; x++ {
-		e.bottom[x] = sat16(px[6*8+x] + shift)
-		e.bottom[8+x] = sat16(px[7*8+x] + shift)
-	}
-	for y := 0; y < 8; y++ {
-		e.right[y] = sat16(px[y*8+6] + shift)
-		e.right[8+y] = sat16(px[y*8+7] + shift)
-	}
-}
-
-// computeEdges is the uncached path: full block to edge samples.
-func computeEdges(coef []int16, q *[64]uint16, e *blockEdges) {
-	var px dct.Block
-	acOnlyPixels(coef, q, &px)
-	edgesFromPixels(&px, int32(coef[0]), q, e)
-}
-
-func sat16(v int32) int16 {
-	if v > 32767 {
-		return 32767
-	}
-	if v < -32768 {
-		return -32768
-	}
-	return int16(v)
-}
-
-// dcPrediction implements A.2.3: reconstruct the block's pixels from its AC
-// coefficients alone, linearly extrapolate gradients from the above and left
-// neighbors' last two pixel rows/columns, and solve for the DC value that
-// makes the gradients meet at each of up to 16 border pairs. Returns the
-// predicted quantized DC and a confidence bucket (log of the prediction
-// spread).
-//
-// If neither neighbor is available inside this thread segment, it falls back
-// to predicting the previous block's DC (prevDC), like baseline JPEG.
-func dcPrediction(px *dct.Block, q *[64]uint16, above, left *blockEdges, prevDC int32) (pred int32, conf int) {
-	if above == nil && left == nil {
-		return prevDC, confBuckets - 1
-	}
-	var preds [16]int64
-	n := 0
-	if above != nil {
-		for x := 0; x < 8; x++ {
-			a6 := int64(above.bottom[x])
-			a7 := int64(above.bottom[8+x])
-			c0 := int64(px[x])
-			c1 := int64(px[8+x])
-			// Gradient continuation: a7 + (a7-a6)/2 == c0 + dc - (c1-c0)/2.
-			preds[n] = a7 + div2(a7-a6) - c0 + div2(c1-c0)
-			n++
-		}
-	}
-	if left != nil {
-		for y := 0; y < 8; y++ {
-			l6 := int64(left.right[y])
-			l7 := int64(left.right[8+y])
-			c0 := int64(px[y*8])
-			c1 := int64(px[y*8+1])
-			preds[n] = l7 + div2(l7-l6) - c0 + div2(c1-c0)
-			n++
-		}
-	}
-	var sum, minP, maxP int64
-	minP, maxP = preds[0], preds[0]
-	for i := 0; i < n; i++ {
-		sum += preds[i]
-		if preds[i] < minP {
-			minP = preds[i]
-		}
-		if preds[i] > maxP {
-			maxP = preds[i]
-		}
-	}
-	// n is 8 (one neighbor) or 16 (both); constant divisors let the inlined
-	// div strength-reduce instead of issuing an IDIV per block.
+// gradientDC implements A.2.3 from the block kernel's summary of its n
+// (8 or 16) gradient predictions: their mean is the predicted DC offset in
+// pixels, requantized by the DC step r; their spread sets the confidence
+// bucket.
+func gradientDC(g *dct.Gradient, n int, r recip) (pred int32, conf int) {
 	var avgPix int64
 	if n == 16 {
-		avgPix = div(sum, 16)
+		avgPix = divPow2(g.Sum, 4)
 	} else {
-		avgPix = div(sum, 8)
+		avgPix = divPow2(g.Sum, 3)
 	}
 	// A DC step of 1 shifts every sample by q0/8 (orthonormal basis), so
 	// the quantized DC is avgPix*8/q0.
-	predDC := clampCoef(div(avgPix*8, int64(q[0])))
-	spread := div((maxP-minP)*8, int64(q[0]))
-	conf = ilog2(int32(min64(spread, 1<<20)), confBuckets)
-	return predDC, conf
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
+	spread := r.div((g.Max - g.Min) * 8)
+	return clampCoef(r.div(avgPix * 8)), ilog2(int32(min(spread, 1<<20)), confBuckets)
 }

@@ -698,7 +698,8 @@ func (f *Fleet) Do(ctx context.Context, op byte, payload []byte) ([]byte, error)
 // DoNode performs one exchange against a specific node, bypassing load
 // routing — the placement-addressed path store.Remote uses. A node
 // currently evicted fails fast with ErrNodeDown (wrapped) so replicated
-// callers move on to the next replica.
+// callers move on to the next replica. It counts in Stats.Requests like a
+// routed request.
 func (f *Fleet) DoNode(ctx context.Context, addr string, op byte, payload []byte) ([]byte, error) {
 	if f.closed.Load() {
 		return nil, errors.New("server: fleet is closed")
@@ -706,6 +707,7 @@ func (f *Fleet) DoNode(ctx context.Context, addr string, op byte, payload []byte
 	if err := checkPayloadSize(payload); err != nil {
 		return nil, err
 	}
+	f.Stats.Requests.Add(1)
 	n, ok := f.byAddr[addr]
 	if !ok {
 		return nil, fmt.Errorf("server: %q is not a fleet node", addr)

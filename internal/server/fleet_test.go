@@ -739,6 +739,38 @@ func TestFleetStoreConcurrentClients(t *testing.T) {
 	}
 }
 
+// TestFleetStoreCountsRequests: the placement-addressed puts and reads of
+// the distributed store go through DoNode, and must show in the fleet's
+// request count like routed requests do.
+func TestFleetStoreCountsRequests(t *testing.T) {
+	nodes := startTestFleet(t, 3)
+	f := newTestFleet(t, nodes, nil)
+	r, err := store.NewRemote(f, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := gen(t, 761, 96, 64)
+	before := f.StatsSnapshot()["requests"]
+	ref, err := r.PutFile(context.Background(), data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	afterPut := f.StatsSnapshot()["requests"]
+	if afterPut <= before {
+		t.Fatalf("PutFile left requests at %d (was %d)", afterPut, before)
+	}
+	back, err := r.GetFile(context.Background(), ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(back, data) {
+		t.Fatal("GetFile mismatch")
+	}
+	if afterGet := f.StatsSnapshot()["requests"]; afterGet <= afterPut {
+		t.Fatalf("GetFile left requests at %d (was %d)", afterGet, afterPut)
+	}
+}
+
 // --- PeerPool probe accounting (the serve-path selection fix) -------------
 
 // TestPeerPoolCountsProbeFailures: with one dead peer, Target must still

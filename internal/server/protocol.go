@@ -148,7 +148,8 @@ func WriteRequest(conn net.Conn, op byte, payload []byte) error {
 }
 
 // ReadRequest reads one request from a connection (any io.Reader over the
-// framed stream).
+// framed stream). io.EOF means the stream ended cleanly between frames; a
+// frame cut short anywhere after its first byte is io.ErrUnexpectedEOF.
 func ReadRequest(conn io.Reader) (op byte, payload []byte, err error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
@@ -160,6 +161,9 @@ func ReadRequest(conn io.Reader) (op byte, payload []byte, err error) {
 	}
 	payload = make([]byte, n)
 	if _, err := io.ReadFull(conn, payload); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return 0, nil, err
 	}
 	return hdr[0], payload, nil
